@@ -59,9 +59,12 @@ race:
 
 ## benchsmoke: one iteration of the serial/parallel Monte-Carlo benchmark
 ## pair — verifies the parallel path produces the same empirical rate and
-## that the benchmarks still compile and run.
+## that the benchmarks still compile and run — plus one iteration of a
+## single FDSEpochParallel sub-benchmark, so the pair's cross-check keeps
+## working when a -bench filter selects only one worker count.
 benchsmoke:
 	$(GO) test -run '^$$' -bench 'MonteCarlo' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkFDSEpochParallel/workers=1$$' -benchtime 1x -benchmem .
 
 ## benchcmp: the allocation-regression gate. Runs the alloc-sensitive
 ## benchmarks (FDSEpoch, RadioBroadcast, Codec, and the per-detector

@@ -44,17 +44,35 @@
 //   - Trace events are buffered per strip and folded strip-by-strip into the
 //     hash; workers never touch another strip's buffer.
 //
+// # Buffer ownership
+//
+// The strip transport is encode-once and pooled, like radio.Medium, and
+// keeps DESIGN.md §12 rule 1: every pool has one single-threaded owner.
+// Each strip owns a free list of transmission buffers and a free list of
+// delivery records. Send encodes a message once into a buffer from the
+// sending strip's list and takes one reference per scheduled delivery,
+// local or cross-strip; a buffer nobody survives the loss draws for goes
+// straight back. A delivery record is taken by the strip that schedules it
+// (the sender for local deliveries, the destination at the barrier for
+// cross-strip ones) and returned by that strip once the delivery has run.
+// A destination strip only reads a foreign buffer's bytes and never touches
+// its reference count: after the delivery it queues the buffer on its own
+// release list, and the serial barrier, with no worker running, drops those
+// references and hands every emptied buffer back to its owner's free list.
+// When RunEpochs returns, every release list is empty.
+//
 // The topology is static (no mobility, no replenishment) and there is no
 // global monitor: completeness is probed serially after the run.
 package par
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"clusterfds/internal/cluster"
@@ -112,12 +130,34 @@ func (c Config) withDefaults() Config {
 
 // crossEntry is one cross-strip delivery waiting at the window barrier.
 type crossEntry struct {
-	at      sim.Time
-	src     int32  // source strip, part of the canonical injection key
-	seq     uint32 // source strip's outbox append counter
-	to      uint32 // receiver host index
-	from    wire.NodeID
-	payload []byte
+	at   sim.Time
+	src  int32  // source strip, part of the canonical injection key
+	seq  uint32 // source strip's outbox append counter
+	to   uint32 // receiver host index
+	from wire.NodeID
+	tb   *txBuf
+}
+
+// crossOrder is the canonical barrier injection order. (at, src, seq) is
+// unique per entry, so an unstable sort is deterministic.
+func crossOrder(a, b crossEntry) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
+// txBuf is one transmission's encoded bytes, shared by every delivery of
+// that transmission. It belongs to the strip that encoded it: refs changes
+// only on that strip's worker or at the serial barrier, and the buffer goes
+// back to the owner's free list when the last delivery has run.
+type txBuf struct {
+	buf   []byte
+	refs  int32
+	owner int32
 }
 
 // strip is one vertical slice of the field with its own kernel and buffers.
@@ -131,6 +171,37 @@ type strip struct {
 	events  []trace.Event // protocol trace buffer (CollectTrace)
 	sends   uint64
 	deliv   uint64
+
+	txFree  []*txBuf       // this strip's idle transmission buffers
+	delFree []*parDelivery // this strip's idle delivery records
+	release []*txBuf       // foreign buffers delivered here this window
+}
+
+// takeTxBuf pops an idle transmission buffer or makes one.
+func (st *strip) takeTxBuf(owner int32) *txBuf {
+	if n := len(st.txFree); n > 0 {
+		tb := st.txFree[n-1]
+		st.txFree[n-1] = nil
+		st.txFree = st.txFree[:n-1]
+		return tb
+	}
+	return &txBuf{owner: owner}
+}
+
+// takeDelivery pops an idle delivery record. The list grows by blocks of 64
+// records in one allocation (DESIGN.md §12 rule 4).
+func (st *strip) takeDelivery() *parDelivery {
+	if len(st.delFree) == 0 {
+		blk := make([]parDelivery, 64)
+		for i := range blk {
+			st.delFree = append(st.delFree, &blk[i])
+		}
+	}
+	n := len(st.delFree)
+	d := st.delFree[n-1]
+	st.delFree[n-1] = nil
+	st.delFree = st.delFree[:n-1]
+	return d
 }
 
 // stripSink appends trace events to the owning strip's buffer.
@@ -176,13 +247,14 @@ func (p *stripPort) UpdatePos(wire.NodeID, geo.Point) {
 	panic("par: static topology — mobility is not supported")
 }
 
-// parDelivery is one in-flight strip-local delivery.
+// parDelivery is one delivery scheduled on strip s's kernel. It belongs to
+// strip s's free list.
 type parDelivery struct {
-	e       *Engine
-	s       int32
-	to      uint32
-	from    wire.NodeID
-	payload []byte
+	e    *Engine
+	s    int32
+	to   uint32
+	from wire.NodeID
+	tb   *txBuf
 }
 
 // Engine is a built, runnable parallel replica.
@@ -207,17 +279,32 @@ type Engine struct {
 	crashSched map[wire.NodeID]sim.Time // harness-side crash schedule
 	ctrl       *rand.Rand               // control stream for CrashRandom picks
 
+	pend []crossEntry // barrier scratch, reused across windows
+
 	epochsRun int
 	now       sim.Time
 }
 
-// deliverLocalFn completes one strip-local delivery: aliveness check at the
-// receiver, energy charge, decode into the strip scratch, dispatch.
-var deliverLocalFn sim.ArgHandler = func(a any) {
+// deliverFn completes one delivery on strip d.s, then gives back what it
+// held: the record to the strip's own free list, and the buffer reference
+// either directly (the strip owns the buffer) or through the strip's
+// release list for the barrier to drop (the buffer is foreign).
+var deliverFn sim.ArgHandler = func(a any) {
 	d := a.(*parDelivery)
-	d.e.deliver(d.s, d.to, d.from, d.payload)
+	e, tb := d.e, d.tb
+	e.deliver(d.s, d.to, d.from, tb.buf)
+	st := &e.strips[d.s]
+	if tb.owner != d.s {
+		st.release = append(st.release, tb)
+	} else if tb.refs--; tb.refs == 0 {
+		st.txFree = append(st.txFree, tb)
+	}
+	d.tb = nil
+	st.delFree = append(st.delFree, d)
 }
 
+// deliver hands payload to host `to` on strip s: aliveness check at the
+// receiver, energy charge, decode into the strip scratch, dispatch.
 func (e *Engine) deliver(s int32, to uint32, from wire.NodeID, payload []byte) {
 	h := e.hosts[to]
 	if h == nil || !h.Operational() {
@@ -237,9 +324,10 @@ func (e *Engine) deliver(s int32, to uint32, from wire.NodeID, payload []byte) {
 // ascending receiver order, independent of receiver state.
 func (e *Engine) send(s int32, from wire.NodeID, m wire.Message) {
 	idx := uint32(from - 1)
-	payload := wire.Encode(m)
-	e.spent[idx] += e.params.TxBaseCost + e.params.TxByteCost*float64(len(payload))
 	st := &e.strips[s]
+	tb := st.takeTxBuf(s)
+	tb.buf = wire.EncodeAppend(tb.buf[:0], m)
+	e.spent[idx] += e.params.TxBaseCost + e.params.TxByteCost*float64(len(tb.buf))
 	st.sends++
 	rng := e.rngs[idx]
 	span := int64(e.params.MaxDelay - e.params.MinDelay)
@@ -252,17 +340,22 @@ func (e *Engine) send(s int32, from wire.NodeID, m wire.Message) {
 		if span > 0 {
 			delay += sim.Time(rng.Int63n(span + 1))
 		}
+		tb.refs++
 		if d := e.stripOf[nb]; d == s {
-			st.k.ScheduleArg(delay, deliverLocalFn, &parDelivery{
-				e: e, s: s, to: nb, from: from, payload: payload,
-			})
+			dl := st.takeDelivery()
+			dl.e, dl.s, dl.to, dl.from, dl.tb = e, s, nb, from, tb
+			st.k.ScheduleArg(delay, deliverFn, dl)
 		} else {
 			st.out[d] = append(st.out[d], crossEntry{
 				at: now + delay, src: s, seq: st.seqCtr,
-				to: nb, from: from, payload: payload,
+				to: nb, from: from, tb: tb,
 			})
 			st.seqCtr++
 		}
+	}
+	if tb.refs == 0 {
+		// Nobody survived the loss draws; recycle the buffer immediately.
+		st.txFree = append(st.txFree, tb)
 	}
 }
 
@@ -441,7 +534,7 @@ func (e *Engine) CrashRandomAt(at sim.Time, count int) []wire.NodeID {
 	for _, id := range picked {
 		e.CrashAt(at, id)
 	}
-	sort.Slice(picked, func(i, j int) bool { return picked[i] < picked[j] })
+	slices.Sort(picked)
 	return picked
 }
 
@@ -532,38 +625,41 @@ func (e *Engine) runTo(deadline sim.Time) {
 	e.now = deadline
 }
 
-// mergeOutboxes injects every pending cross-strip delivery into its
-// destination kernel in canonical (at, src, seq) order. Serial.
+// mergeOutboxes is the serial window barrier. It first drops the references
+// the window's cross-strip deliveries held, returning each emptied buffer to
+// its owner, then injects every pending cross-strip delivery into its
+// destination kernel in canonical (at, src, seq) order, on a record from
+// the destination's free list.
 func (e *Engine) mergeOutboxes() {
 	for d := range e.strips {
+		st := &e.strips[d]
+		for i, tb := range st.release {
+			if tb.refs--; tb.refs == 0 {
+				owner := &e.strips[tb.owner]
+				owner.txFree = append(owner.txFree, tb)
+			}
+			st.release[i] = nil
+		}
+		st.release = st.release[:0]
+	}
+	for d := range e.strips {
 		dst := &e.strips[d]
-		var pend []crossEntry
+		pend := e.pend[:0]
 		for s := range e.strips {
 			if box := e.strips[s].out[d]; len(box) > 0 {
 				pend = append(pend, box...)
 				e.strips[s].out[d] = box[:0]
 			}
 		}
-		if len(pend) == 0 {
-			continue
-		}
-		sort.Slice(pend, func(i, j int) bool {
-			a, b := pend[i], pend[j]
-			if a.at != b.at {
-				return a.at < b.at
-			}
-			if a.src != b.src {
-				return a.src < b.src
-			}
-			return a.seq < b.seq
-		})
+		slices.SortFunc(pend, crossOrder)
 		now := dst.k.Now()
 		for i := range pend {
-			ce := pend[i]
-			dst.k.ScheduleArg(ce.at-now, deliverLocalFn, &parDelivery{
-				e: e, s: int32(d), to: ce.to, from: ce.from, payload: ce.payload,
-			})
+			ce := &pend[i]
+			dl := dst.takeDelivery()
+			dl.e, dl.s, dl.to, dl.from, dl.tb = e, int32(d), ce.to, ce.from, ce.tb
+			dst.k.ScheduleArg(ce.at-now, deliverFn, dl)
 		}
+		e.pend = pend[:0]
 	}
 }
 

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"runtime"
 	"testing"
 
 	"clusterfds/internal/sim"
@@ -76,5 +77,70 @@ func TestStripCountChangesAreExplicit(t *testing.T) {
 	_, h4, _ := buildAndRun(t, 2, 4)
 	if h1 == h4 {
 		t.Log("note: strip counts 2 and 4 happened to agree; not a failure")
+	}
+}
+
+// TestSteadyEpochAllocations pins the pooled strip transport: once formation
+// is over, an epoch's deliveries reuse pooled transmission buffers and
+// delivery records, so the heap allocations of a whole epoch, every protocol
+// layer included, stay far below one per delivery.
+func TestSteadyEpochAllocations(t *testing.T) {
+	e := Build(Config{Seed: 42, Nodes: 200, FieldSide: 700, LossProb: 0.05})
+	e.RunEpochs(6)
+	d0 := e.Deliveries()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e.RunEpochs(1)
+	runtime.ReadMemStats(&after)
+	deliveries := e.Deliveries() - d0
+	mallocs := after.Mallocs - before.Mallocs
+	if deliveries == 0 {
+		t.Fatal("no deliveries in the measured epoch")
+	}
+	perDelivery := float64(mallocs) / float64(deliveries)
+	t.Logf("%d mallocs over %d deliveries (%.3f per delivery)", mallocs, deliveries, perDelivery)
+	if perDelivery > 0.25 {
+		t.Fatalf("%.3f mallocs per delivery in a steady epoch, want <= 0.25", perDelivery)
+	}
+}
+
+// TestTransmissionBuffersReturnAtBarrier checks the cross-strip buffer
+// lifetime across many strips and workers: whenever RunEpochs returns, the
+// barrier has dropped every reference a cross-strip delivery held, and
+// every idle buffer sits exactly once on its owner's free list with no
+// reference left.
+func TestTransmissionBuffersReturnAtBarrier(t *testing.T) {
+	e := Build(Config{Seed: 7, Nodes: 240, FieldSide: 800, LossProb: 0.1, Strips: 8, Workers: 4})
+	check := func(epoch int) {
+		t.Helper()
+		seen := map[*txBuf]bool{}
+		for s := range e.strips {
+			st := &e.strips[s]
+			if len(st.release) != 0 {
+				t.Fatalf("epoch %d: strip %d holds %d unreleased buffers", epoch, s, len(st.release))
+			}
+			for _, tb := range st.txFree {
+				if tb.refs != 0 {
+					t.Fatalf("epoch %d: idle buffer on strip %d has refs=%d", epoch, s, tb.refs)
+				}
+				if tb.owner != int32(s) {
+					t.Fatalf("epoch %d: strip %d holds a buffer owned by strip %d", epoch, s, tb.owner)
+				}
+				if seen[tb] {
+					t.Fatalf("epoch %d: buffer freed twice on strip %d", epoch, s)
+				}
+				seen[tb] = true
+			}
+		}
+	}
+	for epoch := 1; epoch <= 6; epoch++ {
+		if epoch == 3 {
+			e.CrashRandomAt(e.Now()+sim.Time(1e9), 4)
+		}
+		e.RunEpochs(1)
+		check(epoch)
+	}
+	if e.Sends() == 0 || e.Deliveries() == 0 {
+		t.Fatal("no traffic")
 	}
 }
