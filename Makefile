@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet lint lint-test allow-gate fmt-check build test race benchsmoke benchcmp scale-smoke baseline-smoke par-smoke fuzz-smoke live-smoke conformance bench fmt
+.PHONY: check vet lint lint-test allow-gate fmt-check build test race benchsmoke benchcmp scale-smoke baseline-smoke par-smoke fuzz-smoke live-smoke conformance bench fmt loc
 
 ## check: the pre-PR gate. Run this before sending any change for review.
 check: vet lint lint-test allow-gate fmt-check build test race benchsmoke benchcmp scale-smoke baseline-smoke par-smoke fuzz-smoke live-smoke
@@ -149,3 +149,14 @@ bench:
 
 fmt:
 	gofmt -l -w .
+
+## loc: non-test Go lines per package (a package's own .go files, skipping
+## _test.go files and testdata/), then their total. Run it before and after
+## a change to report the lines each touched package gained or lost. Not
+## part of check.
+loc:
+	@$(GO) list -f '{{$$d := .Dir}}{{.ImportPath}}{{range .GoFiles}} {{$$d}}/{{.}}{{end}}' ./... | \
+	while read pkg files; do \
+		[ -n "$$files" ] || continue; \
+		printf '%6d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; \
+	done | awk '{ print; t += $$1 } END { printf "%6d total\n", t }'

@@ -43,6 +43,7 @@ import (
 
 	"clusterfds/internal/cluster"
 	"clusterfds/internal/metrics"
+	"clusterfds/internal/par"
 	"clusterfds/internal/scenario"
 	"clusterfds/internal/shard"
 	"clusterfds/internal/sim"
@@ -129,12 +130,13 @@ func main() {
 	}
 
 	if *epochWorkers > 0 {
-		runParallel(scenario.Config{
+		runParallel(par.Config{
 			Seed:         *seed,
 			Nodes:        *nodes,
 			FieldSide:    *field,
 			LossProb:     *lossProb,
-			EpochWorkers: *epochWorkers,
+			Workers:      *epochWorkers,
+			CollectTrace: true,
 		}, *epochs, *crashes, *crashEpoch)
 		return
 	}
@@ -395,26 +397,25 @@ func runSharded(cfg scenario.Config, shards, workers, epochs, crashes, crashEpoc
 // production cluster stack partitioned into field strips and drained by a
 // conservative-window worker pool. The printed trace hash is bit-identical at
 // every -epoch-workers value; the par-smoke gate greps stdout for it.
-func runParallel(cfg scenario.Config, epochs, crashes, crashEpoch int) {
+func runParallel(cfg par.Config, epochs, crashes, crashEpoch int) {
 	buildStart := time.Now()
-	p := scenario.BuildParallel(cfg)
+	eng := par.Build(cfg)
 	buildElapsed := time.Since(buildStart)
 
-	timing := p.Config().Timing
+	timing := cluster.DefaultTiming()
 	ce := crashEpoch
 	if ce < 0 {
 		ce = 0
 	}
 	crashAt := timing.EpochStart(wire.Epoch(ce)) + timing.Interval/2
-	victims := p.CrashRandomAt(crashAt, crashes)
+	victims := eng.CrashRandomAt(crashAt, crashes)
 
 	runStart := time.Now()
-	p.RunEpochs(epochs)
+	eng.RunEpochs(epochs)
 	runElapsed := time.Since(runStart)
 
-	eng := p.Engine()
 	fmt.Printf("fdsim: parallel engine nodes=%d field=%.0fm p=%.2f epochs=%d seed=%d strips=%d workers=%d\n",
-		cfg.Nodes, cfg.FieldSide, cfg.LossProb, epochs, cfg.Seed, eng.Strips(), cfg.EpochWorkers)
+		cfg.Nodes, cfg.FieldSide, cfg.LossProb, epochs, cfg.Seed, eng.Strips(), cfg.Workers)
 	fmt.Printf("build: %v; run: %v for %d sends / %d deliveries\n\n",
 		buildElapsed.Round(time.Millisecond), runElapsed.Round(time.Millisecond),
 		eng.Sends(), eng.Deliveries())
@@ -422,11 +423,11 @@ func runParallel(cfg scenario.Config, epochs, crashes, crashEpoch int) {
 	if len(victims) > 0 {
 		fmt.Printf("crashed at epoch %d (+%v): %v\n", ce, timing.Interval/2, victims)
 		for _, v := range victims {
-			aware, operational := p.Completeness(v)
+			aware, operational := eng.Completeness(v)
 			fmt.Printf("  %v: known by %d/%d operational hosts\n", v, aware, operational)
 		}
 		fmt.Println()
 	}
 
-	fmt.Printf("trace hash: %s\n", p.TraceHash())
+	fmt.Printf("trace hash: %s\n", eng.TraceHash())
 }

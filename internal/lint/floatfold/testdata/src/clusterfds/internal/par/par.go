@@ -2,7 +2,11 @@
 // pinned — never inside worker goroutines, never in map iteration order.
 package par
 
-import "sort"
+import (
+	"sort"
+
+	"clusterfds/internal/sim"
+)
 
 type engine struct {
 	sum   float64
@@ -59,6 +63,19 @@ func (e *engine) addSample(v float64) {
 	e.sum += v // want `floating-point accumulation into e\.sum inside a parallel worker region`
 }
 
+// badDrainFold: the coordinator runs Drain on its worker pool, so a Drain
+// closure is a worker region with no go statement in sight.
+func (e *engine) badDrainFold(vals [][]float64) {
+	w := sim.Windows{
+		Drain: func(p int, end sim.Time) {
+			for _, v := range vals[p] {
+				e.sum += v // want `floating-point accumulation into e\.sum inside a parallel worker region`
+			}
+		},
+	}
+	w.RunUntil(0)
+}
+
 // badMapFold folds float values in map iteration order.
 func (e *engine) badMapFold(parts map[int]float64) {
 	for _, v := range parts {
@@ -107,6 +124,24 @@ func (e *engine) goodIndexed(idx []int, cost float64) {
 			e.spent[i] += cost
 		}
 	}()
+}
+
+// goodDrainIndexed: a Drain closure may fold into its own partition's slot;
+// the coordinator's serial Barrier callback may fold into anything.
+func (e *engine) goodDrainIndexed(vals [][]float64) {
+	w := sim.Windows{
+		Drain: func(p int, end sim.Time) {
+			for _, v := range vals[p] {
+				e.spent[p] += v
+			}
+		},
+		Barrier: func(end sim.Time) {
+			for _, v := range e.spent {
+				e.sum += v
+			}
+		},
+	}
+	w.RunUntil(0)
 }
 
 // goodSerial: the same fold outside any worker region is the sanctioned

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // This file is the interprocedural layer under the PR's four
@@ -20,8 +21,9 @@ import (
 //     OnCallTaint/ReturnsTaintCall hooks) and report there, where the
 //     arena value actually leaks.
 //   - GoReachable: the set of function bodies that may execute on a
-//     spawned goroutine — `go` statement operands, closed over direct
-//     in-package calls and referenced function values/closures.
+//     worker goroutine — `go` statement operands and the Drain callbacks
+//     handed to the sim.Windows coordinator, closed over direct in-package
+//     calls and referenced function values/closures.
 //   - PropagateCalls: transitive closure of a per-function boolean
 //     property (e.g. "accumulates floating-point state") over the same
 //     call graph.
@@ -385,16 +387,18 @@ func derivedLocals(info *types.Info, decl *ast.FuncDecl, inputs []*types.Var) ma
 }
 
 // GoReachable returns the set of function bodies that may execute on a
-// spawned goroutine: the operands of every `go` statement in non-test
-// files, closed over direct in-package calls, references to in-package
-// functions as values, function literals bound to variables, and literals
-// nested in already-reachable code. The keys are *ast.FuncDecl and
-// *ast.FuncLit nodes.
+// worker goroutine. The roots are the operands of every `go` statement and
+// every Drain callback handed to a sim.Windows coordinator (CoordinatorDrains)
+// in non-test files; the set is closed over direct in-package calls,
+// references to in-package functions as values, function literals bound to
+// variables, and literals nested in already-reachable code. The keys are
+// *ast.FuncDecl and *ast.FuncLit nodes.
 //
-// The closure is syntactic: a handler registered with a cross-package API
-// (a kernel callback) and only invoked from there is not discovered. The
-// worker loops in internal/par and internal/shard call their drain paths
-// directly, so the repository's parallel sections are fully covered.
+// The closure is syntactic: a handler registered with any other
+// cross-package API (a kernel callback) and only invoked from there is not
+// discovered. The parallel engines, internal/par and internal/shard, hand
+// their drain paths to the coordinator's Drain field, so their parallel
+// sections are fully covered even though neither contains a `go` statement.
 func GoReachable(pass *Pass) map[ast.Node]bool {
 	info := pass.TypesInfo
 	decls := make(map[*types.Func]*ast.FuncDecl)
@@ -487,6 +491,7 @@ func GoReachable(pass *Pass) map[ast.Node]bool {
 			return true
 		})
 	}
+	CoordinatorDrains(pass, addExpr)
 	for len(frontier) > 0 {
 		region := frontier[len(frontier)-1]
 		frontier = frontier[:len(frontier)-1]
@@ -511,6 +516,41 @@ func GoReachable(pass *Pass) map[ast.Node]bool {
 		})
 	}
 	return reach
+}
+
+// CoordinatorDrains calls visit on every value that a non-test file stores
+// in the Drain field of the sim.Windows coordinator, in a composite literal
+// or by assignment. The coordinator runs Drain on its worker pool, so the
+// value roots a worker region just as a `go` statement's operand does.
+func CoordinatorDrains(pass *Pass, visit func(ast.Expr)) {
+	info := pass.TypesInfo
+	drain := func(id *ast.Ident) bool {
+		v, ok := info.Uses[id].(*types.Var)
+		if !ok || !v.IsField() || v.Name() != "Drain" || v.Pkg() == nil {
+			return false
+		}
+		return v.Pkg().Path() == "sim" || strings.HasSuffix(v.Pkg().Path(), "/sim")
+	}
+	for _, f := range pass.Files {
+		if TestFile(pass.Fset, f.Pos()) {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok && drain(id) {
+					visit(n.Value)
+				}
+			case *ast.AssignStmt:
+				for i, l := range n.Lhs {
+					if sel, ok := ast.Unparen(l).(*ast.SelectorExpr); ok && drain(sel.Sel) && len(n.Rhs) == len(n.Lhs) {
+						visit(n.Rhs[i])
+					}
+				}
+			}
+			return true
+		})
+	}
 }
 
 // DeclaredObjects returns every object defined inside body — the

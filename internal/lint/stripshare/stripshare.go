@@ -4,8 +4,9 @@
 // Everything cross-strip flows through the serial merge barrier, which is
 // what makes the parallel engines bit-identical to the serial kernel.
 //
-// Inside every goroutine-reachable region (lint.GoReachable) the analyzer
-// flags:
+// Worker regions are rooted at `go` statements and at the Drain callback
+// handed to the sim.Windows coordinator, which runs it on its worker pool
+// (lint.GoReachable). Inside every worker region the analyzer flags:
 //
 //   - writes to shared mutables: a store whose target is rooted at the
 //     receiver, a captured variable, or a package variable — state visible
@@ -20,9 +21,10 @@
 //     helper — treats its receiver as caller-owned storage: the worker
 //     hands the helper its own strip's object (§12: owners hand out storage
 //     they own), and it is the call site, not the helper body, where the
-//     cross-strip rule applies. Only a direct `go e.worker(...)` target
-//     keeps its receiver shared: there the receiver is the whole engine,
-//     spawned once per worker.
+//     cross-strip rule applies. Only a direct `go e.worker(...)` target or
+//     a method value handed to Drain (Drain: e.drainPart) keeps its
+//     receiver shared: there the receiver is the whole engine, which every
+//     worker sees.
 //
 //   - cross-strip index arithmetic: indexing a strip/shard-state container
 //     with a computed neighbor index (e.strips[w+1]) reaches another
@@ -106,8 +108,9 @@ func run(pass *lint.Pass) error {
 }
 
 // goTargets maps each FuncDecl that is the direct callee of a go statement
-// in a non-test file — the worker entry points whose receiver is the shared
-// engine, not a caller-owned strip object.
+// or a method value handed to a coordinator's Drain, in a non-test file —
+// the worker entry points whose receiver is the shared engine, not a
+// caller-owned strip object.
 func goTargets(pass *lint.Pass) map[*ast.FuncDecl]bool {
 	info := pass.TypesInfo
 	decls := make(map[*types.Func]*ast.FuncDecl)
@@ -138,6 +141,13 @@ func goTargets(pass *lint.Pass) map[*ast.FuncDecl]bool {
 			return true
 		})
 	}
+	lint.CoordinatorDrains(pass, func(x ast.Expr) {
+		if sel, ok := ast.Unparen(x).(*ast.SelectorExpr); ok {
+			if fn, ok := info.Uses[sel.Sel].(*types.Func); ok && decls[fn] != nil {
+				out[decls[fn]] = true
+			}
+		}
+	})
 	return out
 }
 

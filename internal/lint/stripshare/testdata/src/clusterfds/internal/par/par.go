@@ -2,7 +2,11 @@
 // their own strip's state; everything else goes through the merge barrier.
 package par
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"clusterfds/internal/sim"
+)
 
 type stripState struct {
 	sends int
@@ -14,6 +18,8 @@ type engine struct {
 	crash  []bool
 	heard  []uint64
 	tick   int64
+
+	epochsRun int
 }
 
 var lastTick int64
@@ -62,6 +68,31 @@ func (e *engine) badSharedInWorkerDecl(w int) {
 
 func (e *engine) worker(w int) {
 	e.strips[w].sends++
+	e.tick++ // want `worker writes shared state e\.tick outside the merge barrier`
+}
+
+// badDrainClosure: the coordinator runs Drain on its worker pool, so a Drain
+// closure is a worker region with no go statement in sight.
+func (e *engine) badDrainClosure() {
+	w := sim.Windows{
+		Drain: func(p int, end sim.Time) {
+			e.strips[p].sends++
+			e.epochsRun++ // want `worker writes shared state e\.epochsRun outside the merge barrier`
+		},
+	}
+	w.RunUntil(0)
+}
+
+// badDrainMethod: a method value handed to Drain keeps the engine as its
+// receiver, like a direct go target.
+func (e *engine) badDrainMethod() {
+	var w sim.Windows
+	w.Drain = e.drainPart
+	w.RunUntil(0)
+}
+
+func (e *engine) drainPart(p int, end sim.Time) {
+	e.strips[p].sends++
 	e.tick++ // want `worker writes shared state e\.tick outside the merge barrier`
 }
 
@@ -123,6 +154,21 @@ func (e *engine) goodComms(ctr *int64, out chan int) {
 		local++
 		out <- local
 	}()
+}
+
+// goodDrainOwnStrip: an indexed per-strip write is the sanctioned shape in a
+// Drain closure too; the coordinator's serial NextAt and Barrier callbacks
+// may touch anything.
+func (e *engine) goodDrainOwnStrip() {
+	w := sim.Windows{
+		NextAt: func(p int) (sim.Time, bool) {
+			e.tick++
+			return 0, false
+		},
+		Drain:   func(p int, end sim.Time) { e.strips[p].sends++ },
+		Barrier: func(end sim.Time) { e.epochsRun++ },
+	}
+	w.RunUntil(0)
 }
 
 // goodSerial: the merge barrier itself runs with no workers live.

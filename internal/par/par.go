@@ -15,14 +15,17 @@
 //
 // Strips advance in lockstep conservative windows of width W = Radio.MinDelay,
 // the lower bound on delivery latency (the same lookahead internal/shard uses
-// at million-host scale). An event processed at time t inside window
-// (t0, t0+W] can reach another strip only through a radio delivery landing at
-// t+delay >= t+W > t0+W-ε — at or after the window's end — so strips process
+// at million-host scale), driven by the sim.Windows coordinator both engines
+// share. An event processed at time t inside the half-open window
+// [t0, t0+W) can reach another strip only through a radio delivery landing at
+// t+delay >= t+W >= t0+W — at or after the window's end — so strips process
 // a window in parallel with no communication. Cross-strip deliveries are
 // batched into per-(src,dst) outboxes and injected at the serial window
-// barrier. Between bursts of activity the barrier jumps the window start to
-// the earliest pending event over all strips, so the 10-second idle stretch
-// between FDS epochs costs one barrier, not ten thousand.
+// barrier; the coordinator panics if the barrier ever leaves an event before
+// the end of the window it follows. Between bursts of activity the next
+// window starts at the earliest pending event over all strips, so the
+// 10-second idle stretch between FDS epochs costs one barrier, not ten
+// thousand.
 //
 // # Determinism at every worker count
 //
@@ -73,7 +76,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync/atomic"
 
 	"clusterfds/internal/cluster"
 	"clusterfds/internal/fds"
@@ -280,6 +282,7 @@ type Engine struct {
 	ctrl       *rand.Rand               // control stream for CrashRandom picks
 
 	pend []crossEntry // barrier scratch, reused across windows
+	win  sim.Windows  // the window coordinator over the strips
 
 	epochsRun int
 	now       sim.Time
@@ -470,6 +473,15 @@ func Build(cfg Config) *Engine {
 		}
 	}
 
+	e.win = sim.Windows{
+		Parts:   nStrips,
+		Workers: cfg.Workers,
+		Width:   params.MinDelay,
+		NextAt:  func(s int) (sim.Time, bool) { return e.strips[s].k.NextEventAt() },
+		Drain:   func(s int, end sim.Time) { e.strips[s].k.RunUntil(end - 1) },
+		Barrier: func(sim.Time) { e.mergeOutboxes() },
+	}
+
 	// Hosts: the production stack on a per-host runtime facade, booted at
 	// time zero exactly like scenario.Build.
 	ports := make([]*stripPort, nStrips)
@@ -541,88 +553,8 @@ func (e *Engine) CrashRandomAt(at sim.Time, count int) []wire.NodeID {
 // RunEpochs advances the replica through n more heartbeat intervals.
 func (e *Engine) RunEpochs(n int) {
 	e.epochsRun += n
-	e.runTo(e.cfg.Timing.EpochStart(wire.Epoch(e.epochsRun)))
-}
-
-// runTo is the conservative window loop: jump to the earliest pending event,
-// drain one W-wide window across all strips in parallel, merge outboxes at
-// the serial barrier, repeat.
-func (e *Engine) runTo(deadline sim.Time) {
-	w := e.params.MinDelay
-	nStrips := len(e.strips)
-	nw := e.cfg.Workers
-	if nw > nStrips {
-		nw = nStrips
-	}
-
-	var stripIdx int64
-	var tend sim.Time
-	drain := func() {
-		for {
-			i := atomic.AddInt64(&stripIdx, 1) - 1
-			if i >= int64(nStrips) {
-				return
-			}
-			e.strips[i].k.RunUntil(tend)
-		}
-	}
-
-	var start chan sim.Time
-	var done chan struct{}
-	if nw > 1 {
-		start = make(chan sim.Time)
-		done = make(chan struct{})
-		for i := 0; i < nw-1; i++ {
-			go func() {
-				for range start {
-					drain()
-					done <- struct{}{}
-				}
-			}()
-		}
-		defer close(start)
-	}
-
-	for {
-		// Serial barrier: find the earliest pending event anywhere.
-		tmin := deadline + 1
-		for s := range e.strips {
-			if t, ok := e.strips[s].k.NextEventAt(); ok && t < tmin {
-				tmin = t
-			}
-		}
-		if tmin > deadline {
-			break
-		}
-		tend = tmin + w
-		if tend > deadline {
-			tend = deadline
-		}
-
-		// Parallel window: every strip advances to tend in isolation.
-		atomic.StoreInt64(&stripIdx, 0)
-		if nw > 1 {
-			for i := 0; i < nw-1; i++ {
-				start <- tend
-			}
-			drain()
-			for i := 0; i < nw-1; i++ {
-				<-done
-			}
-		} else {
-			drain()
-		}
-
-		e.mergeOutboxes()
-	}
-
-	// Advance every idle clock to the deadline so the next call resumes
-	// from a common now.
-	for s := range e.strips {
-		e.strips[s].k.RunUntil(deadline)
-	}
-	e.mergeOutboxes()
-	e.now = deadline
+	e.now = e.cfg.Timing.EpochStart(wire.Epoch(e.epochsRun))
+	e.win.RunUntil(e.now)
 }
 
 // mergeOutboxes is the serial window barrier. It first drops the references
@@ -663,7 +595,7 @@ func (e *Engine) mergeOutboxes() {
 	}
 }
 
-// Now returns the last barrier time.
+// Now returns the horizon of the last RunEpochs call.
 func (e *Engine) Now() sim.Time { return e.now }
 
 // Strips returns the fixed partition count.

@@ -1,9 +1,12 @@
 package par
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
+	"clusterfds/internal/cluster"
+	"clusterfds/internal/replicate"
 	"clusterfds/internal/sim"
 	"clusterfds/internal/wire"
 )
@@ -142,5 +145,46 @@ func TestTransmissionBuffersReturnAtBarrier(t *testing.T) {
 	}
 	if e.Sends() == 0 || e.Deliveries() == 0 {
 		t.Fatal("no traffic")
+	}
+}
+
+// runReplica builds one replica of a 120-host crash wave at the given seed
+// and worker count and returns its trace hash.
+func runReplica(seed int64, workers int) string {
+	e := Build(Config{
+		Seed: seed, Nodes: 120, FieldSide: 500, LossProb: 0.1,
+		Workers: workers, CollectTrace: true,
+	})
+	timing := cluster.DefaultTiming()
+	e.CrashRandomAt(timing.EpochStart(2)+timing.Interval/2, 3)
+	e.RunEpochs(6)
+	return e.TraceHash()
+}
+
+// TestParallelNestedInReplicas nests the engine's worker pool inside the
+// replication engine's worker pool — the two layers of parallelism the
+// repository composes (fdsim -trials N -workers W with parallel replicas).
+// Each replica runs its own window coordinator's pool while three replicate
+// workers run replicas concurrently; `make race` runs this under the race
+// detector. Results must be bit-identical to the fully serial nesting.
+func TestParallelNestedInReplicas(t *testing.T) {
+	const seed, trials = 7, 4
+	body := func(workers int) func(int, *rand.Rand) string {
+		return func(i int, _ *rand.Rand) string {
+			return runReplica(replicate.Seed(seed, i), workers)
+		}
+	}
+	serial, err := replicate.RunOpts(replicate.Opts{Workers: 1}, trials, seed, body(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nested, err := replicate.RunOpts(replicate.Opts{Workers: 3}, trials, seed, body(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range serial {
+		if serial[i] != nested[i] {
+			t.Fatalf("replica %d: nested hash %s != serial hash %s", i, nested[i], serial[i])
+		}
 	}
 }

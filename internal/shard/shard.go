@@ -23,7 +23,9 @@
 // another shard via a delivery, which lands at t+delay ≥ t+MinDelay ≥
 // t0+W — strictly after the window. Shards therefore process a window in
 // parallel with no communication, and cross-shard sends are batched into
-// per-(src,dst) outboxes merged at the window barrier.
+// per-(src,dst) outboxes merged at the window barrier. The windows are
+// driven by sim.Windows, the coordinator internal/par shares; it panics if
+// a barrier ever leaves an event before the end of the window it follows.
 //
 // # Determinism at every shard and worker count
 //

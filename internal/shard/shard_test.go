@@ -148,10 +148,11 @@ func TestWireSizeFormulas(t *testing.T) {
 }
 
 // TestWindowInvariant verifies the conservative lookahead directly: with
-// shards > 1, every cross-shard event lands strictly after the window it
-// was created in (Run panics otherwise), and the window width equals the
-// radio's MinDelay — NOT Thop, which is the paper's upper bound on one-hop
-// delay and would be an unsound lookahead.
+// shards > 1, every cross-shard event lands at or after the end of the
+// window it was created in (the sim.Windows coordinator panics otherwise;
+// sim's TestWindowsInvariantPanics is the negative control), and the window
+// width equals the radio's MinDelay — NOT Thop, which is the paper's upper
+// bound on one-hop delay and would be an unsound lookahead.
 func TestWindowInvariant(t *testing.T) {
 	cfg := goldenConfig()
 	cfg.Shards = 8
@@ -162,7 +163,7 @@ func TestWindowInvariant(t *testing.T) {
 	if e.w >= cfg.Timing.Thop {
 		t.Fatalf("window width %d not below Thop %d", e.w, cfg.Timing.Thop)
 	}
-	e.Run() // panics on any invariant violation
+	e.Run() // the coordinator panics on any invariant violation
 }
 
 // TestShardClamping: more requested shards than cell columns must clamp,
